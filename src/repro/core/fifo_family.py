@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.utils.validation import check_positive
@@ -69,36 +68,6 @@ def affine_envelope(curve: PiecewiseLinearCurve) -> tuple[float, float]:
     return max(0.0, sigma), rho
 
 
-def _effective_start(theta: float, rate: float, a: float) -> float:
-    """First instant a gated leftover curve can be positive.
-
-    ``beta(t) = [R t - a]^+ . 1{t > theta}`` is identically 0 up to
-    ``S = max(theta, a / R)`` — for ``theta`` below the latency ``a/R``
-    the positive part, not the gate, is what holds the curve at zero.
-    """
-    if rate <= 0:
-        return math.inf
-    return max(theta, a / rate if a > 0 else 0.0)
-
-
-def _branch_inverse(v: float, start: float, gate_shift: float,
-                    rate: float, a: float) -> float:
-    """First time the (shifted) gated branch reaches level ``v``.
-
-    The branch is ``beta(t - gate_shift)`` with ``beta`` zero up to
-    ``start`` and ``R t - a`` afterwards; its jump value at ``start`` is
-    ``J = [R*start - a]^+`` (0 when the curve is continuous there).
-    """
-    if v <= 0:
-        return 0.0
-    if rate <= 0:
-        return math.inf
-    jump = max(0.0, rate * start - a)
-    if v <= jump:
-        return gate_shift + start
-    return gate_shift + (a + v) / rate
-
-
 def family_delay_for_thetas(f12: PiecewiseLinearCurve,
                             sigma1: float, rho1: float,
                             sigma2: float, rho2: float,
@@ -115,36 +84,100 @@ def family_delay_for_thetas(f12: PiecewiseLinearCurve,
         return math.inf
     a1 = sigma1 - rho1 * theta1
     a2 = sigma2 - rho2 * theta2
+    # Server i's leftover curve [r_i t - a_i]^+ . 1{t > theta_i} is 0 up
+    # to its effective start S_i = max(theta_i, a_i / r_i): below the
+    # latency a_i / r_i the positive part, not the gate, holds it at 0.
     # The composition (beta1 ⊗ beta2)(t) = min(beta1(t - S2),
-    # beta2(t - S1)) for t > S1 + S2 (0 before), where S_i is each
-    # curve's effective start (gate or latency, whichever is later).
-    s1 = _effective_start(theta1, r1, a1)
-    s2 = _effective_start(theta2, r2, a2)
+    # beta2(t - S1)) for t > S1 + S2 (0 before); each branch jumps to
+    # J_i = [r_i S_i - a_i]^+ at its start.
+    s1 = max(theta1, a1 / r1 if a1 > 0 else 0.0)
+    s2 = max(theta2, a2 / r2 if a2 > 0 else 0.0)
     gate = s1 + s2
+    jump1 = max(0.0, r1 * s1 - a1)
+    jump2 = max(0.0, r2 * s2 - a2)
 
     def tau(v: float) -> float:
+        """First time the composition reaches level ``v``."""
         if v <= 0:
             return 0.0
-        t_a = _branch_inverse(v, s1, s2, r1, a1)
-        t_b = _branch_inverse(v, s2, s1, r2, a2)
+        t_a = gate if v <= jump1 else s2 + (a1 + v) / r1
+        t_b = gate if v <= jump2 else s1 + (a2 + v) / r2
         return max(gate, t_a, t_b)
 
     # Candidate maximizers of tau(F12(t)) - t: the through curve's
     # breakpoints plus the pre-images of the branch jump levels (where
     # tau kinks).
-    jump1 = max(0.0, r1 * s1 - a1)
-    jump2 = max(0.0, r2 * s2 - a2)
-    levels = [lv for lv in (jump1, jump2) if lv > 0]
-    cands = list(f12.x) + [0.0]
-    if levels:
-        inv = np.atleast_1d(f12.pseudo_inverse(np.asarray(levels)))
-        cands.extend(float(t) for t in inv if math.isfinite(t))
     best = 0.0
-    for t in cands:
-        if t < 0:
-            continue
-        best = max(best, tau(float(f12(t))) - t)
+    for t, v in zip(f12.x.tolist(), f12.y.tolist()):
+        best = max(best, tau(v) - t)
+    levels = [lv for lv in (jump1, jump2) if lv > 0]
+    if levels:
+        inv = f12.pseudo_inverse(np.asarray(levels)).tolist()
+        ts = [t for t in inv if math.isfinite(t) and t >= 0]
+        if ts:
+            for t, v in zip(ts, f12(np.asarray(ts)).tolist()):
+                best = max(best, tau(v) - t)
     return best
+
+
+def _max(a, b):
+    """Elementwise ``max(a, b)`` with Python's tie and NaN rule."""
+    return np.where(b > a, b, a)
+
+
+def _grid_delays(f12: PiecewiseLinearCurve,
+                 sigma1: float, rho1: float,
+                 sigma2: float, rho2: float,
+                 c1: float, c2: float,
+                 theta1, theta2) -> np.ndarray:
+    """:func:`family_delay_for_thetas` over broadcast theta arrays.
+
+    Evaluates the same expressions in the same order, elementwise, so
+    every entry is bit-identical to the scalar objective at that
+    ``(theta1, theta2)``.  Per-server quantities keep their operand's
+    shape, so an outer grid (``theta1`` a column, ``theta2`` a row)
+    inverts each axis's jump levels once rather than once per point.
+    """
+    theta1 = np.asarray(theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    shape = np.broadcast_shapes(theta1.shape, theta2.shape)
+    r1 = c1 - rho1
+    r2 = c2 - rho2
+    if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
+        return np.full(shape, math.inf)
+    a1 = sigma1 - rho1 * theta1
+    a2 = sigma2 - rho2 * theta2
+    s1 = _max(theta1, np.where(a1 > 0, a1 / r1, 0.0))
+    s2 = _max(theta2, np.where(a2 > 0, a2 / r2, 0.0))
+    gate = s1 + s2
+    jump1 = _max(0.0, r1 * s1 - a1)
+    jump2 = _max(0.0, r2 * s2 - a2)
+
+    def slack(v, t, k=()):
+        """``tau(v) - t``; ``k`` appends a candidate axis."""
+        g, j1, j2 = gate[k], jump1[k], jump2[k]
+        t_a = np.where(v <= j1, g, s2[k] + (a1[k] + v) / r1)
+        t_b = np.where(v <= j2, g, s1[k] + (a2[k] + v) / r2)
+        return np.where(v <= 0, 0.0, _max(_max(g, t_a), t_b)) - t
+
+    best = slack(f12.y, f12.x, (..., None)).max(axis=-1)
+    # Jump-level pre-images: one inverse over every positive level of
+    # both servers, one evaluation of the finite ones.
+    levels = np.concatenate([jump1.ravel(), jump2.ravel()])
+    inv = np.full(levels.shape, math.nan)
+    positive = levels > 0
+    if positive.any():
+        inv[positive] = f12.pseudo_inverse(levels[positive])
+    usable = np.isfinite(inv) & (inv >= 0)
+    value = np.zeros(levels.shape)
+    if usable.any():
+        value[usable] = f12(inv[usable])
+    n1 = jump1.size
+    for part, part_shape in ((slice(None, n1), jump1.shape),
+                             (slice(n1, None), jump2.shape)):
+        t, v, ok = (a[part].reshape(part_shape) for a in (inv, value, usable))
+        best = _max(best, np.where(ok, slack(v, t), -math.inf))
+    return _max(0.0, best)
 
 
 def family_pair_bound(f12: PiecewiseLinearCurve,
@@ -184,22 +217,26 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
     tmax1 = 2.0 * scale1 / c1 if scale1 > 0 else 1.0 / c1
     tmax2 = 2.0 * scale2 / c2 if scale2 > 0 else 1.0 / c2
 
-    def objective(t1: float, t2: float) -> float:
-        if t1 < 0 or t2 < 0:
-            return math.inf
-        return family_delay_for_thetas(
-            f12, sigma1, rho1, sigma2, rho2, c1, c2, t1, t2)
-
+    # The coarse grid in one vectorized pass; np.argmin keeps the first
+    # minimum in row-major (theta1-major) order, the scalar sweep's tie
+    # rule.
+    grid1 = np.linspace(0.0, tmax1, coarse)
+    grid2 = np.linspace(0.0, tmax2, coarse)
+    delays = _grid_delays(f12, sigma1, rho1, sigma2, rho2, c1, c2,
+                          grid1[:, None], grid2[None, :])
     best = (math.inf, 0.0, 0.0)
-    for t1 in np.linspace(0.0, tmax1, coarse):
-        for t2 in np.linspace(0.0, tmax2, coarse):
-            d = objective(float(t1), float(t2))
-            if d < best[0]:
-                best = (d, float(t1), float(t2))
+    if delays.size:
+        i, j = np.unravel_index(np.argmin(delays), delays.shape)
+        if delays[i, j] < best[0]:
+            best = (float(delays[i, j]), float(grid1[i]), float(grid2[j]))
 
     if refine and math.isfinite(best[0]):
+        from scipy import optimize  # deferred: ~0.7 s of import time
+
         res = optimize.minimize(
-            lambda th: objective(max(th[0], 0.0), max(th[1], 0.0)),
+            lambda th: family_delay_for_thetas(
+                f12, sigma1, rho1, sigma2, rho2, c1, c2,
+                max(th[0], 0.0), max(th[1], 0.0)),
             x0=np.array([best[1], best[2]]),
             method="Nelder-Mead",
             options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},

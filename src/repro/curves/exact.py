@@ -280,6 +280,9 @@ def exact_deconvolve(f: PiecewiseLinearCurve,
 
     env = _lower_envelope(np.asarray(x0s), np.asarray(x1s),
                           np.asarray(y0s), np.asarray(sls))
-    # the sup's tail slope is analytically f's long-term rate
-    return PiecewiseLinearCurve(env.x, -env.y,
+    # the sup's tail slope is analytically f's long-term rate; the
+    # running max keeps the result nondecreasing where near-coincident
+    # branch endpoints round a segment downward, moving y only up (the
+    # sound side for an arrival-type bound)
+    return PiecewiseLinearCurve(env.x, np.maximum.accumulate(-env.y),
                                 f.long_term_rate()).simplified()

@@ -190,7 +190,40 @@ class PiecewiseLinearCurve:
         if np.all(defect <= eps):
             return True
         widths = np.diff(self.x)
-        return bool(np.all((defect <= eps) | (defect * widths <= eps)))
+        if not np.all((defect <= eps) | (defect * widths <= eps)):
+            return False
+        # Narrow segments can also sit *between* the two sides of a real
+        # kink (slopes 1, 1.5 over 1e-12, then 0.25), where no single
+        # narrow kink shows it; so measure the value gap itself.
+        return self._envelope_gap(sign) <= eps
+
+    def _envelope_gap(self, sign: float) -> float:
+        """Largest value gap between ``sign * self`` and its largest convex
+        minorant on ``[0, inf)``."""
+        xs = self.x.tolist()
+        ys = (sign * self.y).tolist()
+        tail = sign * self.final_slope
+        hull = [0]
+        for k in range(1, len(xs)):
+            while len(hull) >= 2:
+                i, j = hull[-2], hull[-1]
+                if (ys[j] - ys[i]) / (xs[j] - xs[i]) < (ys[k] - ys[i]) / (xs[k] - xs[i]):
+                    break
+                hull.pop()
+            hull.append(k)
+        # the minorant leaves the hull along the tail ray at the first
+        # vertex whose next hull slope is at least the final slope
+        for n in range(len(hull) - 1):
+            i, j = hull[n], hull[n + 1]
+            if (ys[j] - ys[i]) / (xs[j] - xs[i]) >= tail:
+                hull = hull[:n + 1]
+                break
+        hx = self.x[hull]
+        hy = np.asarray(ys)[hull]
+        env = np.interp(self.x, hx, hy)
+        beyond = self.x > hx[-1]
+        env[beyond] = hy[-1] + tail * (self.x[beyond] - hx[-1])
+        return float(np.max(np.asarray(ys) - env))
 
     def is_convex(self, eps: float = EPS) -> bool:
         """True when segment slopes are nondecreasing (up to tolerance)."""

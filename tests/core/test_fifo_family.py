@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.core.subsystem as subsystem
 from repro.core.fifo_family import (
+    _grid_delays,
     affine_envelope,
     family_delay_for_thetas,
     family_pair_bound,
 )
+from repro.core.integrated import IntegratedAnalysis
 from repro.curves.piecewise import PiecewiseLinearCurve as P
 from repro.curves.token_bucket import TokenBucket
+from repro.network.generators import random_feedforward
+from repro.network.tandem import build_tandem
 
 
 def gated_leftover(capacity, sigma, rho, theta):
@@ -143,3 +149,139 @@ class TestPairBound:
         refined = family_pair_bound(f12, f1, f2, 1.0, 1.0, coarse=7,
                                     refine=True)
         assert refined.delay_through <= coarse.delay_through + 1e-12
+
+
+# ----------------------------------------------------------------------
+# bit identity of the solver
+# ----------------------------------------------------------------------
+
+#: ``(delay_through, theta1, theta2)`` as ``float.hex`` for every
+#: ``family_pair_bound`` call of a cold IntegratedAnalysis, in call
+#: order, as the per-point scalar grid sweep computed them.  Journals
+#: and stores verify bounds hex for hex, so any drift here must come
+#: with a version-tag bump.
+GOLDEN = {
+    "tandem-2-0.2": [
+        ("0x1.118d1e7e3ad87p+2", "0x1.fffffffff1cdbp-1", "0x1.0e2ecda69b18fp+1"),
+    ],
+    "tandem-2-0.6": [
+        ("0x1.407162534564bp+2", "0x1.ffffffffd5985p-1", "0x1.35261707f7bf2p+1"),
+    ],
+    "tandem-2-0.9": [
+        ("0x1.727b1261807c4p+2", "0x1.ffffffffeb79cp-1", "0x1.5fe66d3834ef4p+1"),
+    ],
+    "tandem-4-0.2": [
+        ("0x1.118d1e7e3ad87p+2", "0x1.fffffffff1cdbp-1", "0x1.0e2ecda69b18fp+1"),
+        ("0x1.5becba5aa28e1p+2", "0x1.0e5f36cafd906p+1", "0x1.ffffffffef218p+0"),
+    ],
+    "tandem-4-0.6": [
+        ("0x1.407162534564bp+2", "0x1.ffffffffd5985p-1", "0x1.35261707f7bf2p+1"),
+        ("0x1.ce8479157ee32p+2", "0x1.3caa613cabea0p+1", "0x1.0000000001565p+1"),
+    ],
+    "tandem-4-0.9": [
+        ("0x1.727b1261807c4p+2", "0x1.ffffffffeb79cp-1", "0x1.5fe66d3834ef4p+1"),
+        ("0x1.4fe199757188fp+3", "0x1.84176c4178b92p+1", "0x1.00000000022dcp+1"),
+    ],
+    "tandem-6-0.2": [
+        ("0x1.118d1e7e3ad87p+2", "0x1.fffffffff1cdbp-1", "0x1.0e2ecda69b18fp+1"),
+        ("0x1.5becba5aa28e1p+2", "0x1.0e5f36cafd906p+1", "0x1.ffffffffef218p+0"),
+        ("0x1.5f1865427825ep+2", "0x1.0e9bf0a2087c8p+1", "0x1.ffffffffaab72p+0"),
+    ],
+    "tandem-6-0.6": [
+        ("0x1.407162534564bp+2", "0x1.ffffffffd5985p-1", "0x1.35261707f7bf2p+1"),
+        ("0x1.ce8479157ee32p+2", "0x1.3caa613cabea0p+1", "0x1.0000000001565p+1"),
+        ("0x1.044d8a30b486ap+3", "0x1.47e6b670f768ep+1", "0x1.0000000000374p+1"),
+    ],
+    "tandem-6-0.9": [
+        ("0x1.727b1261807c4p+2", "0x1.ffffffffeb79cp-1", "0x1.5fe66d3834ef4p+1"),
+        ("0x1.4fe199757188fp+3", "0x1.84176c4178b92p+1", "0x1.00000000022dcp+1"),
+        ("0x1.d864bf43d0591p+3", "0x1.c76f9f62338dcp+1", "0x1.ffffffffff424p+0"),
+    ],
+    "random-0": [
+        ("0x1.954a5d6b7fefap+0", "0x0.0p+0", "0x0.0p+0"),
+    ],
+    "random-1": [
+        ("0x1.46f4f8a654beap+2", "0x1.ec8f11d282e48p+1", "0x1.1bd146fdade3cp-2"),
+    ],
+    "random-2": [
+        ("0x1.8d59d14778dfcp+2", "0x0.0p+0", "0x1.677a03ae16560p+2"),
+        ("0x1.e178136b9be46p+3", "0x1.feddb166e6b8ep+2", "0x1.662ffe379dbcep+1"),
+    ],
+    "random-3": [
+        ("0x1.b1515e65ce37cp-1", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.6f8eefa864b4bp+2", "0x1.f9288bb6e47f6p+1", "0x0.0p+0"),
+    ],
+    "random-4": [
+        ("0x1.22b73d8a78e5cp+0", "0x0.0p+0", "0x0.0p+0"),
+        ("0x1.cee88c0b5200ap+2", "0x1.c3ba964d76356p+0", "0x1.191f56cb51d97p+1"),
+    ],
+    "random-5": [
+        ("0x1.de43dfe9e450bp+1", "0x0.0p+0", "0x1.de43dfe9e450ap+1"),
+        ("0x1.745715fcd0463p+3", "0x1.e968e3ac85da0p+1", "0x1.70a74590e016ap+2"),
+    ],
+}
+
+
+def _golden_network(label):
+    kind, *args = label.split("-")
+    if kind == "tandem":
+        return build_tandem(int(args[0]), float(args[1]))
+    return random_feedforward(int(args[0]))
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_golden_family_bounds(label, monkeypatch):
+    seen = []
+
+    def recording(*args, **kwargs):
+        res = family_pair_bound(*args, **kwargs)
+        seen.append(tuple(float(v).hex() for v in
+                          (res.delay_through, res.theta1, res.theta2)))
+        return res
+
+    monkeypatch.setattr(subsystem, "family_pair_bound", recording)
+    IntegratedAnalysis().analyze(_golden_network(label))
+    assert seen == GOLDEN[label]
+
+
+@st.composite
+def through_curves(draw):
+    """Nondecreasing PL curves with bursts, flats and 1e-9-wide segments."""
+    n = draw(st.integers(1, 6))
+    width = st.sampled_from([1e-9, 0.25, 1.0]) | st.floats(1e-3, 5.0)
+    widths = np.asarray(draw(st.lists(width, min_size=n - 1, max_size=n - 1)),
+                        dtype=float)
+    slopes = np.asarray(draw(st.lists(st.floats(0.0, 3.0), min_size=n - 1,
+                                      max_size=n - 1)), dtype=float)
+    xs = np.concatenate([[0.0], np.cumsum(widths)])
+    ys = draw(st.floats(0.0, 5.0)) + np.concatenate(
+        [[0.0], np.cumsum(slopes * widths)])
+    return P(xs, ys, draw(st.floats(0.0, 0.6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f12=through_curves(),
+       cross=st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 0.9),
+                       st.floats(0.0, 4.0), st.floats(0.0, 0.9)),
+       caps=st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0)),
+       axes=st.tuples(st.integers(1, 8), st.floats(0.1, 20.0),
+                      st.integers(1, 8), st.floats(0.1, 20.0)))
+def test_grid_matches_scalar_objective(f12, cross, caps, axes):
+    sigma1, rho1, sigma2, rho2 = cross
+    c1, c2 = caps
+    n1, span1, n2, span2 = axes
+    grid1 = np.linspace(0.0, span1, n1)
+    grid2 = np.linspace(0.0, span2, n2)
+    # thetas at each server's latency a_i / r_i, where the effective
+    # start switches from latency to gate
+    if c1 > rho1:
+        grid1 = np.append(grid1, sigma1 / (c1 - rho1))
+    if c2 > rho2:
+        grid2 = np.append(grid2, sigma2 / (c2 - rho2))
+    delays = _grid_delays(f12, sigma1, rho1, sigma2, rho2, c1, c2,
+                          grid1[:, None], grid2[None, :])
+    for i, t1 in enumerate(grid1):
+        for j, t2 in enumerate(grid2):
+            scalar = family_delay_for_thetas(f12, sigma1, rho1, sigma2, rho2,
+                                             c1, c2, float(t1), float(t2))
+            assert float(delays[i, j]).hex() == float(scalar).hex(), (t1, t2)

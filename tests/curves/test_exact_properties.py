@@ -11,7 +11,7 @@ than the closed forms):
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.curves.exact import exact_convolve, exact_deconvolve
 from repro.curves.kernels import use_kernel
@@ -89,6 +89,15 @@ class TestGaloisConnection:
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_curves(), convex_services())
+    # near-coincident breakpoints once made f ⊘ g dip (slope ~ -122
+    # over 1e-9), leaving (f ⊘ g) ⊗ g 1.22e-7 below f
+    @example(P.rate_latency(2.0, 1.0).minimum(P.affine(1e-9, 0.0625)),
+             P.rate_latency(1.0, 1e-9))
+    # f ⊘ g ends in ~1e-12-wide segments before its concave tail; they
+    # once passed it off as convex, and the convex closed form dropped
+    # the tail kink (gap 0.225)
+    @example(P.rate_latency(1.5, 1.0).minimum(P.affine(0.0, 0.25)).simplified(),
+             P.rate_latency(1.0, 1e-12))
     def test_mixed_numerator_galois(self, f, g):
         out = exact_convolve(exact_deconvolve(f, g), g)
         ts = np.linspace(0.0, 60.0, 241)

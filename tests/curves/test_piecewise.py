@@ -103,6 +103,23 @@ class TestQueries:
         assert P([0.0, 1.0], [0.0, 0.5], 2.0).is_convex()
         assert not P([0.0, 1.0], [0.0, 2.0], 0.5).is_convex()
 
+    def test_narrow_spike_keeps_shape(self):
+        # a 1e-12-wide steep segment (as min/max of near-identical
+        # curves leaves) stays within tolerance of a convex line
+        f = P([0.0, 1.0, 1.0 + 1e-12, 3.0], [0.0, 1.0, 1.0 + 5e-12, 3.0], 1.0)
+        assert f.is_convex()
+
+    def test_narrow_segments_cannot_hide_a_kink(self):
+        # slopes 0, 1, then ~1.2 and ~1.5 over ~1.7e-12 each, then 0.25:
+        # each narrow kink is let out, but 1 -> 0.25 is a real concave
+        # kink (an exact_deconvolve output)
+        f = P([0.0, 0.899999999999, 1.1999999999986668,
+               1.2000000000003332, 1.2000000000019997],
+              [0.0, 0.0, 0.2999999999999998, 0.30000000000200006,
+               0.3000000000044997], 0.25)
+        assert not f.is_convex()
+        assert not f.is_concave()
+
     def test_line_is_both(self):
         assert P.line(1.0).is_concave() and P.line(1.0).is_convex()
 
