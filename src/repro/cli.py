@@ -993,7 +993,8 @@ def _cmd_recover(args) -> int:
           f"(snapshot seq {state.snapshot_seq}, "
           f"{state.replayed} replayed, {state.skipped} idempotent "
           f"skip(s), {state.corrupt_lines} corrupt line(s), "
-          f"kernel {state.kernel or 'unrecorded'})")
+          f"kernel {state.kernel or 'unrecorded'}, "
+          f"solver {state.solver or 'unrecorded'})")
     for name in state.admitted:
         print(f"  {name}")
     if args.no_verify:

@@ -25,6 +25,11 @@ brute force):
 so the delay bound for through curve ``F12`` is computed exactly — no
 grids — from the levels at which each branch crosses ``F12``.
 
+On ``theta_i >= sigma_i / C_i`` (where the optimum lies) that bound is
+the maximum of three affine functions of ``(theta1, theta2)``, so the
+best family member is found exactly by evaluating the bound at the few
+vertices of a two-variable linear program (:func:`family_pair_bound`).
+
 General concave cross curves are soundly reduced to their affine upper
 envelope first (:func:`affine_envelope`).
 """
@@ -39,8 +44,14 @@ import numpy as np
 from repro.curves.piecewise import PiecewiseLinearCurve
 from repro.utils.validation import check_positive
 
-__all__ = ["FamilyResult", "affine_envelope", "family_pair_bound",
-           "family_delay_for_thetas"]
+__all__ = ["FAMILY_SOLVER", "FamilyResult", "affine_envelope",
+           "family_pair_bound", "family_delay_for_thetas"]
+
+#: Version tag of the (theta1, theta2) solver.  Bounds computed by a
+#: different solver differ in the last bits at least, so engine keys,
+#: store segments and journals carry this tag and miss (recompute)
+#: rather than fail bit-for-bit re-verification when it changes.
+FAMILY_SOLVER = "lp1"
 
 
 @dataclass(frozen=True)
@@ -66,6 +77,15 @@ def affine_envelope(curve: PiecewiseLinearCurve) -> tuple[float, float]:
         raise ValueError("curve has no affine envelope at its long-term "
                          "rate (increasing slopes?)")
     return max(0.0, sigma), rho
+
+
+def _rise_index(f12: PiecewiseLinearCurve) -> int | None:
+    """Index ``k`` of the breakpoint where ``F12`` leaves zero, so that
+    ``x[k] = inf{t : F12(t) > 0}``; None when ``F12`` is never positive."""
+    positive = np.flatnonzero(f12.y > 0)
+    if positive.size:
+        return max(int(positive[0]) - 1, 0)
+    return f12.y.size - 1 if f12.final_slope > 0 else None
 
 
 def family_delay_for_thetas(f12: PiecewiseLinearCurve,
@@ -117,75 +137,78 @@ def family_delay_for_thetas(f12: PiecewiseLinearCurve,
         if ts:
             for t, v in zip(ts, f12(np.asarray(ts)).tolist()):
                 best = max(best, tau(v) - t)
+    # ... and the right limit at t0 = inf{t : F12(t) > 0}, which no
+    # breakpoint attains when F12(t0) = 0 (every peak-limited aggregate
+    # at t0 = 0): there tau(0+) = max(gate, S2 + a1/r1, S1 + a2/r2).
+    k = _rise_index(f12)
+    if k is not None:
+        best = max(best, max(gate, s2 + a1 / r1, s1 + a2 / r2)
+                   - float(f12.x[k]))
     return best
 
 
-def _max(a, b):
-    """Elementwise ``max(a, b)`` with Python's tie and NaN rule."""
-    return np.where(b > a, b, a)
-
-
-def _grid_delays(f12: PiecewiseLinearCurve,
+def _lp_vertices(f12: PiecewiseLinearCurve,
                  sigma1: float, rho1: float,
                  sigma2: float, rho2: float,
-                 c1: float, c2: float,
-                 theta1, theta2) -> np.ndarray:
-    """:func:`family_delay_for_thetas` over broadcast theta arrays.
+                 c1: float, c2: float) -> list[tuple[float, float]]:
+    """Vertices of the two-variable LP that the family optimum solves.
 
-    Evaluates the same expressions in the same order, elementwise, so
-    every entry is bit-identical to the scalar objective at that
-    ``(theta1, theta2)``.  Per-server quantities keep their operand's
-    shape, so an outer grid (``theta1`` a column, ``theta2`` a row)
-    inverts each axis's jump levels once rather than once per point.
+    For ``theta_i < sigma_i / C_i`` every term of the bound is
+    nonincreasing in ``theta_i``, so some optimum has ``theta_i >= l_i
+    = sigma_i / C_i``.  There ``S_i = theta_i``, ``tau`` is continuous on
+    ``v > 0`` and the bound is ``max(0, L0, L1, L2)`` with
+
+    * ``L0 = theta1 + theta2 - t0``,
+    * ``L1 = theta2 + (sigma1 - rho1 theta1 + M1) / R1``,
+    * ``L2 = theta1 + (sigma2 - rho2 theta2 + M2) / R2``,
+
+    ``R_i = C_i - rho_i``, ``t0 = inf{t : F12(t) > 0}`` and ``M_i =
+    sup_{t >= t0} F12(t) - R_i t`` (a maximum over breakpoints: the
+    final slope is below ``R_i``).  ``max(0, .)`` keeps minimizers, and
+    the minimum of a maximum of affine functions over the quadrant
+    ``theta >= l`` lies at its corner, where a line ``L_j = L_k``
+    crosses a side, or where all three are equal.
+    Returns those points (corner first), clipped onto the quadrant.
     """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    shape = np.broadcast_shapes(theta1.shape, theta2.shape)
-    r1 = c1 - rho1
-    r2 = c2 - rho2
-    if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
-        return np.full(shape, math.inf)
-    a1 = sigma1 - rho1 * theta1
-    a2 = sigma2 - rho2 * theta2
-    s1 = _max(theta1, np.where(a1 > 0, a1 / r1, 0.0))
-    s2 = _max(theta2, np.where(a2 > 0, a2 / r2, 0.0))
-    gate = s1 + s2
-    jump1 = _max(0.0, r1 * s1 - a1)
-    jump2 = _max(0.0, r2 * s2 - a2)
-
-    def slack(v, t, k=()):
-        """``tau(v) - t``; ``k`` appends a candidate axis."""
-        g, j1, j2 = gate[k], jump1[k], jump2[k]
-        t_a = np.where(v <= j1, g, s2[k] + (a1[k] + v) / r1)
-        t_b = np.where(v <= j2, g, s1[k] + (a2[k] + v) / r2)
-        return np.where(v <= 0, 0.0, _max(_max(g, t_a), t_b)) - t
-
-    best = slack(f12.y, f12.x, (..., None)).max(axis=-1)
-    # Jump-level pre-images: one inverse over every positive level of
-    # both servers, one evaluation of the finite ones.
-    levels = np.concatenate([jump1.ravel(), jump2.ravel()])
-    inv = np.full(levels.shape, math.nan)
-    positive = levels > 0
-    if positive.any():
-        inv[positive] = f12.pseudo_inverse(levels[positive])
-    usable = np.isfinite(inv) & (inv >= 0)
-    value = np.zeros(levels.shape)
-    if usable.any():
-        value[usable] = f12(inv[usable])
-    n1 = jump1.size
-    for part, part_shape in ((slice(None, n1), jump1.shape),
-                             (slice(n1, None), jump2.shape)):
-        t, v, ok = (a[part].reshape(part_shape) for a in (inv, value, usable))
-        best = _max(best, np.where(ok, slack(v, t), -math.inf))
-    return _max(0.0, best)
+    k = _rise_index(f12)
+    l1, l2 = sigma1 / c1, sigma2 / c2
+    if k is None:  # F12 = 0: every member bounds the delay by 0
+        return [(l1, l2)]
+    r1, r2 = c1 - rho1, c2 - rho2
+    xs, ys = f12.x[k:], f12.y[k:]
+    m1 = float(np.max(ys - r1 * xs))
+    m2 = float(np.max(ys - r2 * xs))
+    # L_j(theta) = p_j theta1 + q_j theta2 + e_j
+    lines = ((1.0, 1.0, -float(f12.x[k])),
+             (-rho1 / r1, 1.0, (sigma1 + m1) / r1),
+             (1.0, -rho2 / r2, (sigma2 + m2) / r2))
+    # L_j - L_k = p theta1 + q theta2 + e
+    diffs = [(pj - pk, qj - qk, ej - ek)
+             for i, (pj, qj, ej) in enumerate(lines)
+             for (pk, qk, ek) in lines[i + 1:]]
+    points = [(l1, l2)]
+    for p, q, e in diffs:
+        if q != 0:
+            points.append((l1, -(p * l1 + e) / q))
+        if p != 0:
+            points.append((-(q * l2 + e) / p, l2))
+    (pa, qa, ea), (pb, qb, eb) = diffs[0], diffs[2]
+    det = pa * qb - pb * qa
+    if det != 0:
+        points.append(((qa * eb - qb * ea) / det, (pb * ea - pa * eb) / det))
+    out: list[tuple[float, float]] = []
+    for t1, t2 in points:
+        if math.isfinite(t1) and math.isfinite(t2):
+            vertex = (max(t1, l1), max(t2, l2))
+            if vertex not in out:
+                out.append(vertex)
+    return out
 
 
 def family_pair_bound(f12: PiecewiseLinearCurve,
                       f1: PiecewiseLinearCurve,
                       f2: PiecewiseLinearCurve,
-                      c1: float, c2: float,
-                      coarse: int = 25,
-                      refine: bool = True) -> FamilyResult:
+                      c1: float, c2: float) -> FamilyResult:
     """Best theta-family bound for a two-server subsystem.
 
     Parameters
@@ -195,55 +218,25 @@ def family_pair_bound(f12: PiecewiseLinearCurve,
         (same conventions as :func:`repro.core.theorem1.theorem1_bound`).
     c1, c2:
         Server capacities.
-    coarse:
-        Grid points per theta axis for the initial sweep.
-    refine:
-        Run a Nelder–Mead polish from the best grid point.
+
+    The optimum is one of the LP vertices of :func:`_lp_vertices`; the
+    bound returned is :func:`family_delay_for_thetas` at the best of
+    them, so it is sound whatever the LP algebra's rounding.
     """
     check_positive("c1", c1)
     check_positive("c2", c2)
     sigma1, rho1 = affine_envelope(f1)
     sigma2, rho2 = affine_envelope(f2)
-    if c1 - rho1 <= 0 or c2 - rho2 <= 0:
+    r1, r2 = c1 - rho1, c2 - rho2
+    if r1 <= 0 or r2 <= 0 or f12.long_term_rate() >= min(r1, r2):
         return FamilyResult(math.inf, 0.0, 0.0)
 
-    sig12, _ = affine_envelope(f12)
-    # The interesting theta range: up to the time scale where jumps
-    # exceed every relevant through level ~ (sig12 + sigma_x)/C.  The
-    # range is kept proportional to the problem's own burst scale so the
-    # optimization is invariant under joint rescaling of all bursts.
-    scale1 = sigma1 + sig12
-    scale2 = sigma2 + sig12
-    tmax1 = 2.0 * scale1 / c1 if scale1 > 0 else 1.0 / c1
-    tmax2 = 2.0 * scale2 / c2 if scale2 > 0 else 1.0 / c2
-
-    # The coarse grid in one vectorized pass; np.argmin keeps the first
-    # minimum in row-major (theta1-major) order, the scalar sweep's tie
-    # rule.
-    grid1 = np.linspace(0.0, tmax1, coarse)
-    grid2 = np.linspace(0.0, tmax2, coarse)
-    delays = _grid_delays(f12, sigma1, rho1, sigma2, rho2, c1, c2,
-                          grid1[:, None], grid2[None, :])
     best = (math.inf, 0.0, 0.0)
-    if delays.size:
-        i, j = np.unravel_index(np.argmin(delays), delays.shape)
-        if delays[i, j] < best[0]:
-            best = (float(delays[i, j]), float(grid1[i]), float(grid2[j]))
-
-    if refine and math.isfinite(best[0]):
-        from scipy import optimize  # deferred: ~0.7 s of import time
-
-        res = optimize.minimize(
-            lambda th: family_delay_for_thetas(
-                f12, sigma1, rho1, sigma2, rho2, c1, c2,
-                max(th[0], 0.0), max(th[1], 0.0)),
-            x0=np.array([best[1], best[2]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-        )
-        if res.fun < best[0]:
-            best = (float(res.fun), float(max(res.x[0], 0.0)),
-                    float(max(res.x[1], 0.0)))
-
+    for theta1, theta2 in _lp_vertices(f12, sigma1, rho1, sigma2, rho2,
+                                       c1, c2):
+        delay = family_delay_for_thetas(f12, sigma1, rho1, sigma2, rho2,
+                                        c1, c2, theta1, theta2)
+        if delay < best[0]:
+            best = (delay, theta1, theta2)
     return FamilyResult(delay_through=best[0], theta1=best[1],
                         theta2=best[2])

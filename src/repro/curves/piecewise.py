@@ -75,7 +75,7 @@ class PiecewiseLinearCurve:
     Instances are immutable; all operations return new curves.
     """
 
-    __slots__ = ("x", "y", "final_slope")
+    __slots__ = ("x", "y", "final_slope", "_nondecreasing")
 
     def __init__(self, x: Sequence[float], y: Sequence[float],
                  final_slope: float) -> None:
@@ -87,6 +87,9 @@ class PiecewiseLinearCurve:
         self.final_slope = float(final_slope)
         self.x.setflags(write=False)
         self.y.setflags(write=False)
+        #: :meth:`is_nondecreasing` at the default tolerance, filled on
+        #: first use (the breakpoints never change)
+        self._nondecreasing: bool | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -169,7 +172,11 @@ class PiecewiseLinearCurve:
 
     def is_nondecreasing(self, eps: float = EPS) -> bool:
         """True when every segment slope is >= 0 (up to tolerance)."""
-        return bool(np.all(self.slopes() >= -eps))
+        if eps != EPS:
+            return bool(np.all(self.slopes() >= -eps))
+        if self._nondecreasing is None:
+            self._nondecreasing = bool(np.all(self.slopes() >= -eps))
+        return self._nondecreasing
 
     def _shape_holds(self, sign: float, eps: float) -> bool:
         """Shared convexity/concavity test; ``sign`` +1 convex, -1 concave.

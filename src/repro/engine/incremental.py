@@ -39,6 +39,7 @@ from repro.analysis.base import Analyzer, DelayReport
 from repro.analysis.decomposed import DecomposedAnalysis
 from repro.analysis.propagation import ServerInput, server_step
 from repro.context import NULL_CONTEXT, AnalysisContext
+from repro.core.fifo_family import FAMILY_SOLVER
 from repro.core.integrated import (
     BlockInput,
     IntegratedAnalysis,
@@ -84,11 +85,13 @@ def _server_key(si: ServerInput) -> bytes:
 def _block_key(bi: BlockInput) -> bytes:
     """Content digest of one integrated block's exact inputs.
 
-    Includes the curve kernel, like :func:`_server_key`.
+    Includes the curve kernel, like :func:`_server_key`, and the
+    θ-family solver's version tag: a block solved by another solver
+    must miss, not replay its bounds.
     """
     parts: list[object] = ["block", bi.kind, bi.capacities,
                            bi.disciplines, bi.use_family_kernel,
-                           bi.kernel]
+                           bi.kernel, FAMILY_SOLVER]
     for fa in bi.flows:
         parts.extend((fa.name, fa.role, fa.has_next, fa.priority, fa.rho,
                       fa.curve.x, fa.curve.y, fa.curve.final_slope))

@@ -35,6 +35,7 @@ import math
 from pathlib import Path
 
 from repro.admission.requests import ConnectionRequest
+from repro.core.fifo_family import FAMILY_SOLVER
 from repro.errors import JournalError
 from repro.network.serialization import network_from_dict, network_to_dict
 from repro.network.topology import Network
@@ -151,13 +152,17 @@ class Journal:
         produced under, so recovery re-verifies history with the same
         arithmetic — a journal written under the grid backend must not
         be re-checked bit-identically under the exact kernel.  Empty
-        means "journal predates kernel recording" (pre-PR-9 journals).
+        means "journal predates kernel recording".  The record also
+        carries the θ-family solver's version tag
+        (:data:`repro.core.fifo_family.FAMILY_SOLVER`), like every
+        snapshot.
         """
         return self._append({
             "op": "base",
             "network": network_to_dict(network),
             "analyzer": analyzer,
             "kernel": kernel,
+            "solver": FAMILY_SOLVER,
         })
 
     def write_admit(self, request: ConnectionRequest, bound: float, *,
@@ -205,6 +210,7 @@ class Journal:
             "admitted": list(admitted),
             "analyzer": analyzer,
             "kernel": kernel,
+            "solver": FAMILY_SOLVER,
             "bounds_hex": (None if bounds is None else
                            {k: float(v).hex() for k, v in bounds.items()}),
         }

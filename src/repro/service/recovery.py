@@ -17,7 +17,9 @@ Recovery is two separable steps:
    additionally checked against the snapshot's per-flow bounds when the
    snapshot is the newest state.  Any mismatch means the journal and
    the code disagree about history — the recovered controller must not
-   be trusted to re-admit traffic.
+   be trusted to re-admit traffic.  A journal from another θ-family
+   solver (see :data:`~repro.core.fifo_family.FAMILY_SOLVER`) is
+   re-analyzed without comparison and re-journaled instead.
 
 ``repro recover`` drives both and :func:`recover_service` rebuilds a
 live :class:`~repro.service.AdmissionService` that continues journaling
@@ -32,6 +34,7 @@ from pathlib import Path
 from repro.admission.controller import AdmissionController
 from repro.analysis.base import Analyzer
 from repro.context import NULL_CONTEXT, AnalysisContext
+from repro.core.fifo_family import FAMILY_SOLVER
 from repro.errors import AnalysisError, JournalError, RecoveryError
 from repro.network.serialization import network_from_dict
 from repro.network.topology import Network
@@ -87,6 +90,7 @@ class RecoveredState:
     admitted: tuple[str, ...]
     analyzer_name: str
     kernel: str  #: curve kernel the journal was recorded under ("" = legacy)
+    solver: str  #: θ-family solver tag of the journal ("" = unrecorded)
     last_seq: int
     snapshot_seq: int  #: 0 when no snapshot existed
     replayed: int      #: records applied
@@ -110,6 +114,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
             admitted = list(snapshot.get("admitted", []))
             analyzer_name = str(snapshot.get("analyzer", "integrated"))
             kernel = str(snapshot.get("kernel", ""))
+            solver = str(snapshot.get("solver", ""))
             snapshot_seq = int(snapshot.get("seq", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise RecoveryError(f"malformed snapshot: {exc}") from exc
@@ -125,6 +130,7 @@ def recover_state(directory: str | Path) -> RecoveredState:
             raise RecoveryError(f"malformed base record: {exc}") from exc
         analyzer_name = str(base.get("analyzer", "integrated"))
         kernel = str(base.get("kernel", ""))
+        solver = str(base.get("solver", ""))
         admitted = []
         snapshot_seq = 0
         records = records[1:]
@@ -173,8 +179,8 @@ def recover_state(directory: str | Path) -> RecoveredState:
 
     return RecoveredState(
         network=network, admitted=tuple(admitted),
-        analyzer_name=analyzer_name, kernel=kernel, last_seq=last_seq,
-        snapshot_seq=snapshot_seq, replayed=replayed, skipped=skipped,
+        analyzer_name=analyzer_name, kernel=kernel, solver=solver,
+        last_seq=last_seq, snapshot_seq=snapshot_seq, replayed=replayed, skipped=skipped,
         corrupt_lines=corrupt, records=tuple(records))
 
 
@@ -190,16 +196,26 @@ class RecoveryReport:
     checked: int
     mismatches: tuple[str, ...]
     final_bounds: dict[str, float]
+    #: the journal's solver tag when it is not the current one: its
+    #: bounds were re-analyzed but not compared bit for bit
+    stale_solver: str | None = None
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
 
     def render(self) -> str:
-        lines = [f"re-verified {self.checked} journaled bound(s): "
-                 + ("all bit-identical" if self.ok
-                    else f"{len(self.mismatches)} MISMATCH(ES)")]
-        lines += [f"  MISMATCH {m}" for m in self.mismatches]
+        failed = f"{len(self.mismatches)} MISMATCH(ES)"
+        if self.stale_solver is None:
+            head = (f"re-verified {self.checked} journaled bound(s): "
+                    + ("all bit-identical" if self.ok else failed))
+        else:
+            head = (f"re-analyzed {self.checked} journaled bound(s) under "
+                    f"solver {FAMILY_SOLVER}; the journal's solver "
+                    f"{self.stale_solver or 'unrecorded'} differs, so none "
+                    "was compared bit for bit" + ("" if self.ok
+                                                  else f": {failed}"))
+        lines = [head] + [f"  MISMATCH {m}" for m in self.mismatches]
         return "\n".join(lines)
 
 
@@ -231,9 +247,18 @@ def verify_recovery(directory: str | Path, *,
     raises :class:`~repro.errors.RecoveryError` instead of failing
     every bound comparison; journals predating kernel recording verify
     under *kernel* (or the ambient selection) as before.
+
+    A journal whose solver tag is not :data:`FAMILY_SOLVER` holds
+    bounds another θ-family solver computed: every bound is still
+    re-analyzed (analysis failures still count as mismatches) but none
+    is compared, the report carries ``stale_solver`` and the
+    ``recovery.solver_mismatch`` counter is bumped on *ctx*.
     """
     snapshot, records, _ = load_journal(directory)
     state = recover_state(directory)
+    stale = state.solver != FAMILY_SOLVER
+    if stale:
+        ctx.count("recovery.solver_mismatch")
     if kernel is not None and state.kernel and kernel != state.kernel:
         raise RecoveryError(
             f"journal {Path(directory)} was recorded under curve kernel "
@@ -293,7 +318,7 @@ def verify_recovery(directory: str | Path, *,
                     f"{verify_name!r} failed: {exc}")
                 continue
             checked += 1
-            if float(got).hex() != expected_hex:
+            if not stale and float(got).hex() != expected_hex:
                 mismatches.append(
                     f"seq {seq} flow {request.name!r} ({verify_name}): "
                     f"journaled {float.fromhex(expected_hex)!r} != "
@@ -324,14 +349,15 @@ def verify_recovery(directory: str | Path, *,
                     continue
                 checked += 1
                 final_bounds[fname] = got
-                if float(got).hex() != expected_hex:
+                if not stale and float(got).hex() != expected_hex:
                     mismatches.append(
                         f"snapshot flow {fname!r} ({verify_name}): "
                         f"journaled {float.fromhex(expected_hex)!r} != "
                         f"re-analyzed {got!r}")
 
     return RecoveryReport(checked=checked, mismatches=tuple(mismatches),
-                          final_bounds=final_bounds)
+                          final_bounds=final_bounds,
+                          stale_solver=state.solver if stale else None)
 
 
 def recover_service(directory: str | Path, *,
@@ -355,8 +381,11 @@ def recover_service(directory: str | Path, *,
     so new records stay comparable with history.  *store* warm-boots
     recovery: verification consults it before re-deriving per-hop
     results (bit-identity still enforced per bound) and the resumed
-    service keeps it as its persistent cache tier.  Extra keyword
-    arguments are forwarded to the service constructor.
+    service keeps it as its persistent cache tier.  A journal written
+    under another θ-family solver is re-journaled: the resumed service
+    checkpoints at once, so the snapshot holds re-analyzed bounds under
+    the current :data:`FAMILY_SOLVER` tag.  Extra keyword arguments are
+    forwarded to the service constructor.
     """
     from repro.service.service import AdmissionService
 
@@ -376,7 +405,12 @@ def recover_service(directory: str | Path, *,
                 + report.render())
     primary = analyzer if analyzer is not None else resolve_analyzer(
         state.analyzer_name)
-    return AdmissionService(
+    service = AdmissionService(
         state.network, primary, journal_dir=directory, resume=True,
         admitted=state.admitted, kernel=state.kernel or kernel,
         store=store, ctx=ctx, **service_kwargs)
+    if state.solver != FAMILY_SOLVER:
+        if not verify:  # verify_recovery counted it otherwise
+            ctx.count("recovery.solver_mismatch")
+        service.checkpoint()
+    return service

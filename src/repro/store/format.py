@@ -61,8 +61,9 @@ FORMAT_VERSION = 1
 #: Tag describing what the payloads *are* (pickled analysis results:
 #: ``ServerStep`` / ``BlockOutcome`` tuples).  Bump whenever those
 #: dataclasses change shape so stale stores fall back to recomputation
-#: instead of feeding old pickles to new code.
-VALUE_SCHEMA = "repro-analysis-v1"
+#: instead of feeding old pickles to new code — or whenever the bounds
+#: they hold move (v2: the exact θ-family solver, ``FAMILY_SOLVER``).
+VALUE_SCHEMA = "repro-analysis-v2"
 
 FRAME_MAGIC = b"\xabRS1"
 FRAME_HEADER = struct.Struct("<4s16sII")

@@ -60,8 +60,7 @@ class TestKernelProperties:
     @given(subsystem_params())
     def test_family_finite_and_dominates_transmission(self, params):
         f12, f1, f2, c1, c2 = params
-        res = family_pair_bound(f12, f1, f2, c1, c2, coarse=9,
-                                refine=False)
+        res = family_pair_bound(f12, f1, f2, c1, c2)
         assert math.isfinite(res.delay_through)
         # the through burst must at least be transmitted by the slower
         # server: sigma12 / min(c1, c2) is a hard lower bound

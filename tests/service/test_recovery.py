@@ -13,6 +13,8 @@ import pytest
 
 from repro.admission.requests import ConnectionRequest
 from repro.analysis.decomposed import DecomposedAnalysis
+from repro.context import AnalysisContext, MetricsRegistry
+from repro.core.fifo_family import FAMILY_SOLVER
 from repro.core.integrated import IntegratedAnalysis
 from repro.curves.token_bucket import TokenBucket
 from repro.errors import RecoveryError
@@ -250,3 +252,62 @@ class TestRecoverService:
         assert svc2.admitted == ("c0", "c1", "c2")
         assert verify_recovery(d).ok
         svc2.close()
+
+
+def retag_solver(journal_dir, solver):
+    """Rewrite the journal's solver tag (None drops it), as a journal
+    written by an older θ-family solver would read; every bound is
+    also doubled, which only a bit-for-bit comparison could notice."""
+    path = journal_dir / "journal.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        if rec["op"] == "base":
+            rec.pop("solver")
+            if solver is not None:
+                rec["solver"] = solver
+        elif rec["op"] == "admit":
+            rec["bound_hex"] = float(rec["bound"] * 2.0).hex()
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+class TestSolverTag:
+    def test_journal_records_current_solver(self, tmp_path):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=1)
+        assert recover_state(d).solver == FAMILY_SOLVER
+        report = verify_recovery(d)
+        assert report.ok and report.stale_solver is None
+
+    @pytest.mark.parametrize("tag", ["nm0", None])
+    def test_stale_solver_reanalyzes_instead_of_failing(self, tmp_path, tag):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=3)
+        retag_solver(d, tag)
+        ctx = AnalysisContext(metrics=MetricsRegistry())
+        report = verify_recovery(d, ctx=ctx)
+        assert report.ok
+        assert report.checked == 3
+        assert report.stale_solver == (tag or "")
+        assert "none was compared" in report.render()
+        assert ctx.metrics.get("recovery.solver_mismatch") == 1
+
+    def test_recover_service_rejournals_under_current_solver(self, tmp_path):
+        d = tmp_path / "j"
+        crashed_service(d, n_admit=3)
+        retag_solver(d, "nm0")
+        ctx = AnalysisContext(metrics=MetricsRegistry())
+        svc = recover_service(d, incremental=False, ctx=ctx)
+        assert svc.admitted == ("c0", "c1", "c2")
+        assert ctx.metrics.get("recovery.solver_mismatch") == 1
+        svc.journal.close()  # crash right after the re-journal
+        state = recover_state(d)
+        assert state.solver == FAMILY_SOLVER
+        report = verify_recovery(d)
+        assert report.ok and report.stale_solver is None
+        assert set(report.final_bounds) == {"c0", "c1", "c2"}
+        # the re-journaled snapshot verifies bit for bit again
+        snap_path = d / "snapshot.json"
+        snap = json.loads(snap_path.read_text())
+        snap["bounds_hex"]["c1"] = (12345.5).hex()
+        snap_path.write_text(json.dumps(snap))
+        assert not verify_recovery(d).ok

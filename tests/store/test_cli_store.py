@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.store import VALUE_SCHEMA
 
 
 class TestParser:
@@ -59,7 +60,7 @@ class TestStoreSubcommand:
         sdir = self.seed(tmp_path, capsys)
         assert main(["store", "inspect", sdir]) == 0
         out = capsys.readouterr().out
-        assert "entries:" in out and "repro-analysis-v1" in out
+        assert "entries:" in out and VALUE_SCHEMA in out
 
     def test_verify_clean(self, tmp_path, capsys):
         sdir = self.seed(tmp_path, capsys)
